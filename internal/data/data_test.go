@@ -2,8 +2,10 @@ package data
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,6 +254,19 @@ func TestRapcolRejectsBadVersion(t *testing.T) {
 	}
 }
 
+// hostileRapcol builds a rapcol stream by hand: the container header,
+// then one batch header declaring samples and ncols, then body.
+func hostileRapcol(samples, ncols uint64, body ...byte) []byte {
+	out := []byte(rapcolMagic)
+	out = binary.LittleEndian.AppendUint16(out, rapcolVersion)
+	out = binary.AppendUvarint(out, samples)
+	out = binary.AppendUvarint(out, ncols)
+	return append(out, body...)
+}
+
+// TestRapcolRejectsTruncated feeds the reader damaged and hostile
+// streams: each must come back as an error — never a panic, never a
+// batch — and without allocating from the declared counts.
 func TestRapcolRejectsTruncated(t *testing.T) {
 	g := NewGenerator(GenConfig{NumDense: 1, NumSparse: 1, Seed: 1})
 	var buf bytes.Buffer
@@ -262,9 +277,49 @@ func TestRapcolRejectsTruncated(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if _, err := NewReader(bytes.NewReader(trunc)).Next(); err == nil {
-		t.Fatal("truncated container accepted")
+	denseCol := []byte{colKindDense, 1, 'd'}
+	// sparseCol encodes a sparse column from raw offset deltas, with as
+	// many values as the deltas would add up to without overflow checks.
+	sparseCol := func(deltas ...uint64) []byte {
+		out := []byte{colKindSparse, 1, 's'}
+		var sum int32
+		for _, d := range deltas {
+			out = binary.AppendUvarint(out, d)
+			sum += int32(d)
+		}
+		out = binary.AppendUvarint(out, uint64(max(sum, 0)))
+		for i := int32(0); i < sum; i++ {
+			out = binary.AppendVarint(out, int64(i))
+		}
+		return out
+	}
+
+	const maxAllocBytes = 16 << 20
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+	}{
+		{"truncated", buf.Bytes()[:buf.Len()/2]},
+		{"2^63 samples, one dense column", hostileRapcol(1<<63, 1, denseCol...)},
+		{"2^63 samples, no columns", hostileRapcol(1<<63, 0)},
+		{"2^34 samples, one dense column", hostileRapcol(1<<34, 1, denseCol...)},
+		{"MaxInt32 samples, dense column cut short", hostileRapcol(math.MaxInt32, 1, append(denseCol, 0, 0, 0x80, 0x3f)...)},
+		{"MaxInt32 samples, labels cut short", hostileRapcol(math.MaxInt32, 1, colKindLabels, 0)},
+		{"sparse offsets sum past int32", hostileRapcol(2, 1, sparseCol(math.MaxInt32, 1)...)},
+		{"sparse offset delta past int32", hostileRapcol(2, 1, sparseCol(1<<32+1, 1)...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b, err := NewReader(bytes.NewReader(tc.stream)).Next()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatalf("accepted as a %d-sample batch", b.Samples)
+			}
+			if d := after.TotalAlloc - before.TotalAlloc; d > maxAllocBytes {
+				t.Fatalf("allocated %d bytes before rejecting (limit %d)", d, maxAllocBytes)
+			}
+		})
 	}
 }
 

@@ -140,6 +140,20 @@ func (w *Writer) writeString(s string) {
 	}
 }
 
+// maxPrealloc caps how many elements a column buffer reserves up front.
+// Header counts are untrusted: buffers grow as their bytes are actually
+// read, so a hostile count costs at most this much before the stream
+// runs out.
+const maxPrealloc = 1 << 16
+
+// capHint bounds a declared element count to a safe initial capacity.
+func capHint(n uint64) int {
+	if n > maxPrealloc {
+		return maxPrealloc
+	}
+	return int(n)
+}
+
 // Reader iterates the batches of a rapcol container.
 type Reader struct {
 	r      *bufio.Reader
@@ -185,6 +199,10 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 	if err != nil {
 		return nil, fmt.Errorf("data: reading batch size: %w", err)
 	}
+	// Sparse offsets are int32, so no valid batch has more samples.
+	if samples > math.MaxInt32 {
+		return nil, fmt.Errorf("data: batch declares %d samples, more than the %d int32 offsets can index", samples, math.MaxInt32)
+	}
 	ncols, err := binary.ReadUvarint(r.r)
 	if err != nil {
 		return nil, fmt.Errorf("data: reading column count: %w", err)
@@ -201,27 +219,26 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 		}
 		switch kind {
 		case colKindDense:
-			col := tensor.NewDense(name, int(samples))
-			for i := range col.Values {
-				u, err := r.readU32()
-				if err != nil {
-					return nil, err
-				}
-				col.Values[i] = math.Float32frombits(u)
+			vals, err := r.readF32s(samples)
+			if err != nil {
+				return nil, err
 			}
-			if err := b.AddDense(col); err != nil {
+			if err := b.AddDense(&tensor.Dense{Name: name, Values: vals}); err != nil {
 				return nil, err
 			}
 		case colKindSparse:
-			col := tensor.NewSparse(name, int(samples))
+			col := &tensor.Sparse{Name: name, Offsets: make([]int32, 1, capHint(samples+1))}
 			prev := int32(0)
-			for i := 1; i <= int(samples); i++ {
+			for i := uint64(0); i < samples; i++ {
 				d, err := binary.ReadUvarint(r.r)
 				if err != nil {
 					return nil, fmt.Errorf("data: reading offsets of %q: %w", name, err)
 				}
+				if d > uint64(math.MaxInt32-prev) {
+					return nil, fmt.Errorf("data: offsets of %q overflow int32", name)
+				}
 				prev += int32(d)
-				col.Offsets[i] = prev
+				col.Offsets = append(col.Offsets, prev)
 			}
 			nvals, err := binary.ReadUvarint(r.r)
 			if err != nil {
@@ -230,25 +247,20 @@ func (r *Reader) Next() (*tensor.Batch, error) {
 			if int64(nvals) != int64(prev) {
 				return nil, fmt.Errorf("data: column %q declares %d values but offsets say %d", name, nvals, prev)
 			}
-			col.Values = make([]int64, nvals)
-			for i := range col.Values {
+			col.Values = make([]int64, 0, capHint(nvals))
+			for i := uint64(0); i < nvals; i++ {
 				v, err := binary.ReadVarint(r.r)
 				if err != nil {
 					return nil, fmt.Errorf("data: reading values of %q: %w", name, err)
 				}
-				col.Values[i] = v
+				col.Values = append(col.Values, v)
 			}
 			if err := b.AddSparse(col); err != nil {
 				return nil, err
 			}
 		case colKindLabels:
-			b.Labels = make([]float32, samples)
-			for i := range b.Labels {
-				u, err := r.readU32()
-				if err != nil {
-					return nil, err
-				}
-				b.Labels[i] = math.Float32frombits(u)
+			if b.Labels, err = r.readF32s(samples); err != nil {
+				return nil, err
 			}
 		default:
 			return nil, fmt.Errorf("data: unknown column kind %d", kind)
@@ -266,6 +278,20 @@ func (r *Reader) readU32() (uint32, error) {
 		return 0, fmt.Errorf("data: reading f32: %w", err)
 	}
 	return binary.LittleEndian.Uint32(buf[:]), nil
+}
+
+// readF32s reads n little-endian float32 values, growing the buffer as
+// the bytes arrive.
+func (r *Reader) readF32s(n uint64) ([]float32, error) {
+	vals := make([]float32, 0, capHint(n))
+	for i := uint64(0); i < n; i++ {
+		u, err := r.readU32()
+		if err != nil {
+			return nil, err
+		}
+		vals = append(vals, math.Float32frombits(u))
+	}
+	return vals, nil
 }
 
 func (r *Reader) readString() (string, error) {

@@ -1,7 +1,6 @@
 package gpusim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 )
@@ -289,54 +288,5 @@ func TestCapacityWindowDegenerateInputs(t *testing.T) {
 	}
 	if a, b := run(-50), run(0); math.Float64bits(a) != math.Float64bits(b) {
 		t.Errorf("clamped window latency %v != explicit-zero window %v", a, b)
-	}
-}
-
-// TestOverlappingWindowsShardedIdentical runs partially-overlapping
-// windows (distinct boundary instants, multiplied interior) on a DAG
-// large enough for real sharding, through every engine configuration:
-// the overlap semantics must be bit-identical under sharding.
-func TestOverlappingWindowsShardedIdentical(t *testing.T) {
-	build := func() *Sim {
-		s := NewSim(ClusterConfig{NumGPUs: 4})
-		for i := 0; i < 3*shardMinOps; i++ {
-			g := i % 4
-			s.AddKernel(g, Kernel{
-				Name:   fmt.Sprintf("k%d", i),
-				Work:   20 + float64(i%7)*5,
-				Demand: Demand{SM: 0.7, MemBW: 0.3},
-			}, WithStream(fmt.Sprintf("g%d", g)))
-		}
-		s.AddComm("x", 0, 3, 2e6) // cross-shard coupling
-		for g := 0; g < 4; g++ {
-			// Same resource, staggered overlap: [10,120)@0.8 x [60,200)@0.5.
-			if err := s.AddCapacityWindow(ResSM, g, 10, 120, 0.8); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.AddCapacityWindow(ResSM, g, 60, 200, 0.5); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := s.AddCapacityWindow(ResHostCPU, 0, 0, 100, 0.6); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	base := build()
-	want, err := base.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDigest := ResultDigest(want)
-	for _, shards := range []int{2, 4} {
-		s := build()
-		s.SetEngineOptions(EngineOptions{Shards: shards, NoRace: true})
-		got, err := s.Run()
-		if err != nil {
-			t.Fatalf("shards %d: %v", shards, err)
-		}
-		if d := ResultDigest(got); d != wantDigest {
-			t.Errorf("shards %d: overlap digest %s != sequential %s", shards, d[:12], wantDigest[:12])
-		}
 	}
 }

@@ -27,12 +27,11 @@ func TestGoldenEquivalence(t *testing.T) {
 
 // TestEngineEquivalenceComposedMatrix crosses the perturbation axes —
 // capacity windows and straggler inflation, separately and together —
-// with every engine: sequential (the truth), the preserved reference
-// implementation, and the sharded engine at 2 and 4 shards. Each cell
-// must be bit-identical; the combined cell is what catches interactions
-// the single-axis suites (TestGoldenEquivalence, the chaos digests)
-// cannot, e.g. a capacity step landing mid-flight on an inflated
-// straggler kernel while shards disagree about the clamped dt.
+// with both engines: sequential (the truth) and the preserved reference
+// implementation. Each cell must be bit-identical; the combined cell is
+// what catches interactions the single-axis suites
+// (TestGoldenEquivalence, the chaos digests) cannot, e.g. a capacity
+// step landing mid-flight on an inflated straggler kernel.
 func TestEngineEquivalenceComposedMatrix(t *testing.T) {
 	type axes struct{ windows, stragglers bool }
 	cells := []axes{{false, false}, {true, false}, {false, true}, {true, true}}
@@ -77,19 +76,6 @@ func TestEngineEquivalenceComposedMatrix(t *testing.T) {
 				t.Fatalf("seed %d %+v: reference: %v", seed, ax, err)
 			}
 			compareResults(t, seed, ref, want)
-			for _, shards := range []int{2, 4} {
-				s := build()
-				s.SetEngineOptions(EngineOptions{Shards: shards, NoRace: true})
-				got, err := s.Run()
-				if err != nil {
-					t.Fatalf("seed %d %+v shards %d: %v", seed, ax, shards, err)
-				}
-				compareResults(t, seed, got, want)
-				if got.Events != want.Events {
-					t.Errorf("seed %d %+v shards %d: %d events != sequential %d",
-						seed, ax, shards, got.Events, want.Events)
-				}
-			}
 		}
 	}
 }
@@ -143,5 +129,29 @@ func compareResults(t *testing.T, seed int, got, want *Result) {
 		if !bitEq(gs.Start, ws.Start) || !bitEq(gs.End, ws.End) || !bitEq(gs.CPU, ws.CPU) {
 			t.Errorf("seed %d: host seg %d: %+v != reference %+v", seed, i, gs, ws)
 		}
+	}
+}
+
+// TestDeadlockParity: a dependency cycle behind a batch of runnable ops
+// must surface as the same deadlock error, after the same progress,
+// through the engine and the preserved reference implementation.
+func TestDeadlockParity(t *testing.T) {
+	build := func() *Sim {
+		s := NewSim(ClusterConfig{NumGPUs: 2})
+		for i := 0; i < 32; i++ {
+			s.AddKernel(i%2, Kernel{Name: "k", Work: 5, Demand: Demand{SM: 0.4}})
+		}
+		a := s.AddKernel(0, Kernel{Name: "cyc-a", Work: 1, Demand: Demand{SM: 0.1}})
+		b := s.AddKernel(1, Kernel{Name: "cyc-b", Work: 1, Demand: Demand{SM: 0.1}}, WithDeps(a))
+		s.ops[a].deps = append(s.ops[a].deps, b)
+		return s
+	}
+	_, err := build().Run()
+	if err == nil {
+		t.Fatal("engine accepted a dependency cycle")
+	}
+	_, refErr := referenceRun(build())
+	if refErr == nil || err.Error() != refErr.Error() {
+		t.Errorf("deadlock error %q != reference %q", err, refErr)
 	}
 }

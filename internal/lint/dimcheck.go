@@ -10,7 +10,7 @@ package lint
 // between incompatible units are findings, each carrying an example
 // flow path. Values flowing into an annotated cell with a different
 // unit are findings at the flow site. The legacy unitmix analyzer is
-// subsumed (kept behind raplint's -legacy-unitmix flag).
+// subsumed (pinned by TestDimCheckSubsumesUnitMix).
 var DimCheck = &Analyzer{
 	Name: "dimcheck",
 	Doc:  "interprocedural unit/dimension mismatches via SSA value flow",

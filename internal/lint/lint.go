@@ -57,8 +57,8 @@ type Analyzer struct {
 // All returns the full raplint analyzer suite. UnusedIgnore is a
 // whole-run analyzer: its Run is a no-op per package and the driver
 // performs the global check after every package has reported. The
-// legacy unitmix analyzer is not in the default suite — dimcheck
-// subsumes it (opt back in with raplint's -legacy-unitmix).
+// legacy unitmix analyzer is not in the suite — dimcheck subsumes it;
+// the V1/V2 suites and the lint tests still run it.
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapOrder, SeededRand, FloatEq, PanicPath,

@@ -26,7 +26,7 @@ var UnusedIgnore = &Analyzer{
 // directive naming an analyzer that is not registered in this run gets
 // a distinct message — it is not merely stale, it never could suppress
 // anything (typo, or a directive outliving an analyzer rename) — keyed
-// off the known set so -legacy-unitmix keeps `unitmix` directives valid.
+// off the set of analyzers registered in the run.
 func unusedIgnoreFindings(declsByPkg [][]IgnoreRef, used map[IgnoreRef]bool, known map[string]bool) []Finding {
 	var out []Finding
 	for _, decls := range declsByPkg {

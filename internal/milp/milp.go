@@ -15,10 +15,8 @@
 // always feasible since equal levels imply incomparability). Within the
 // configured horizon the result is provably optimal; if the node budget
 // is exhausted the incumbent is returned with Optimal=false — mirroring
-// how a time-limited MILP solver behaves. Solve fans the root-level
-// subtrees out to a deterministic worker pool (see parallel.go); the
-// returned solution is bit-identical to the sequential search for every
-// worker count.
+// how a time-limited MILP solver behaves. The search is single-threaded;
+// DESIGN.md §8 records why.
 package milp
 
 import (
@@ -41,17 +39,7 @@ type Problem struct {
 	// ErrInfeasibleHorizon.
 	Horizon int
 	// MaxNodes bounds the branch & bound search (0 = DefaultMaxNodes).
-	// The parallel solver speculatively grants each root subtree the
-	// full budget and falls back to the sequential search whenever it
-	// cannot prove the shared-budget run completes, so budget-truncated
-	// results are identical for every worker count.
 	MaxNodes int
-	// Workers selects the solver parallelism: 0 picks a machine-sized
-	// default, 1 forces the sequential solver, n > 1 caps the worker
-	// pool. The returned Step/Objective/Optimal are bit-identical for
-	// every setting; only Nodes (explored-node accounting) differs
-	// between the sequential and parallel searches.
-	Workers int
 }
 
 // ErrInfeasibleHorizon reports a caller-set Horizon smaller than the
@@ -187,22 +175,11 @@ func checkShape(p Problem) error {
 	return nil
 }
 
-// search holds the immutable, shareable state of one branch & bound
-// run: the problem, its topological order, the resolved horizon and
-// node budget, the greedy warm start, and the per-position remaining
-// same-type op counts used by the admissible bound. Workers read it
-// concurrently; nothing in it is mutated after prepare returns.
-type search struct {
-	p         Problem
-	order     []int
-	horizon   int
-	maxNodes  int
-	greedy    Solution
-	remaining []map[int]int64
-}
-
-// prepare validates the problem and builds the shared search state.
-func prepare(p Problem) (*search, error) {
+// newSolver validates the problem and builds the search state: its
+// topological order, the resolved horizon and node budget, the greedy
+// warm start as the incumbent, and the per-position remaining same-type
+// op counts used by the admissible bound.
+func newSolver(p Problem) (*solver, error) {
 	if err := checkShape(p); err != nil {
 		return nil, err
 	}
@@ -230,11 +207,6 @@ func prepare(p Problem) (*search, error) {
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	greedy, err := GreedyLevels(p)
-	if err != nil {
-		return nil, err
-	}
-
 	// Remaining same-type op counts from each position in the topo
 	// order, for the admissible bound.
 	remaining := make([]map[int]int64, n+1)
@@ -247,65 +219,32 @@ func prepare(p Problem) (*search, error) {
 		m[p.Types[order[k]]]++
 		remaining[k] = m
 	}
-	return &search{p: p, order: order, horizon: horizon, maxNodes: maxNodes,
-		greedy: greedy, remaining: remaining}, nil
-}
-
-// newSolver builds a fresh mutable solver over the shared state, warm
-// started with the greedy incumbent.
-func (sr *search) newSolver() *solver {
 	return &solver{
-		p: sr.p, order: sr.order, horizon: sr.horizon, maxNodes: sr.maxNodes,
-		remaining: sr.remaining,
-		steps:     make([]int, len(sr.p.Types)),
+		p: p, order: order, horizon: horizon, maxNodes: maxNodes,
+		remaining: remaining,
+		steps:     make([]int, n),
 		counts:    map[[2]int]int64{},
 		maxCount:  map[int]int64{},
-		bestObj:   sr.greedy.Objective,
-		best:      append([]int(nil), sr.greedy.Step...),
-		optimal:   true,
-	}
+		// The ASAP levels are the greedy warm start (see GreedyLevels).
+		bestObj: Objective(p.Types, asap),
+		best:    asap,
+		optimal: true,
+	}, nil
 }
 
-// Solve runs the branch & bound, fanning the root-level subtrees out to
-// a worker pool unless Workers forces the sequential path. The solution
-// is bit-identical to SolveSequential for every worker count — see
-// solveParallel for the argument.
+// Solve runs the branch & bound, warm-started by GreedyLevels.
 //
 //rap:deterministic
 func Solve(p Problem) (Solution, error) {
-	sr, err := prepare(p)
+	s, err := newSolver(p)
 	if err != nil {
 		return Solution{}, err
 	}
 	if len(p.Types) == 0 {
 		return Solution{Step: []int{}, Optimal: true}, nil
 	}
-	if workers := effectiveWorkers(p.Workers, sr.horizon); workers > 1 && len(p.Types) >= parallelMinOps {
-		return sr.parallel(workers), nil
-	}
-	return sr.sequential(), nil
-}
-
-// SolveSequential runs the single-threaded branch & bound regardless of
-// Problem.Workers — the reference the parallel solver is equivalence-
-// tested against (and the pre-parallelism Solve behaviour).
-//
-//rap:deterministic
-func SolveSequential(p Problem) (Solution, error) {
-	sr, err := prepare(p)
-	if err != nil {
-		return Solution{}, err
-	}
-	if len(p.Types) == 0 {
-		return Solution{Step: []int{}, Optimal: true}, nil
-	}
-	return sr.sequential(), nil
-}
-
-func (sr *search) sequential() Solution {
-	s := sr.newSolver()
 	s.dfs(0, 0)
-	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}
+	return Solution{Step: s.best, Objective: s.bestObj, Optimal: s.optimal, Nodes: s.nodes}, nil
 }
 
 type solver struct {

@@ -2,7 +2,9 @@ package milp
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -121,9 +123,6 @@ func TestSolveRejectsInfeasibleHorizon(t *testing.T) {
 	if _, err := Solve(p); !errors.Is(err, ErrInfeasibleHorizon) {
 		t.Fatalf("err = %v, want ErrInfeasibleHorizon", err)
 	}
-	if _, err := SolveSequential(p); !errors.Is(err, ErrInfeasibleHorizon) {
-		t.Fatalf("sequential err = %v, want ErrInfeasibleHorizon", err)
-	}
 	// A horizon exactly at the critical path is feasible.
 	p.Horizon = 3
 	sol, err := Solve(p)
@@ -232,34 +231,109 @@ func TestSolveMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// Property: the solved objective is never below the greedy warm start
-// and solutions always validate.
-func TestSolveNeverWorseThanGreedy(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		types := make([]int, n)
-		deps := make([][]int, n)
-		for i := 0; i < n; i++ {
-			types[i] = rng.Intn(4)
-			for j := 0; j < i; j++ {
-				if rng.Float64() < 0.2 {
-					deps[i] = append(deps[i], j)
-				}
+// randomProblem builds a random planner-sized DAG instance (16-39 ops)
+// under a 50k-node budget, so most seeds exercise the budget-truncated
+// search path.
+func randomProblem(seed int64) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	n := 16 + rng.Intn(24)
+	types := make([]int, n)
+	deps := make([][]int, n)
+	for i := 0; i < n; i++ {
+		types[i] = rng.Intn(4)
+		for j := 0; j < i; j++ {
+			if rng.Float64() < 0.15 {
+				deps[i] = append(deps[i], j)
 			}
 		}
-		p := Problem{Types: types, Deps: deps, MaxNodes: 200_000}
+	}
+	return Problem{Types: types, Deps: deps, MaxNodes: 50_000}
+}
+
+// smallRandomProblem builds a random DAG of 2-13 ops, small enough for
+// the search to finish within its budget.
+func smallRandomProblem(seed int64) Problem {
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + rng.Intn(12)
+	types := make([]int, n)
+	deps := make([][]int, n)
+	for i := 0; i < n; i++ {
+		types[i] = rng.Intn(4)
+		for j := 0; j < i; j++ {
+			if rng.Float64() < 0.2 {
+				deps[i] = append(deps[i], j)
+			}
+		}
+	}
+	return Problem{Types: types, Deps: deps, MaxNodes: 200_000}
+}
+
+// Property: the solved objective is never below the greedy warm start,
+// solutions always validate, and solving twice gives the same Solution
+// (Nodes included). Small instances come from testing/quick; the 64
+// planner-sized seeds cover the budget-truncated path.
+func TestSolveNeverWorseThanGreedy(t *testing.T) {
+	check := func(p Problem) error {
 		greedy, err := GreedyLevels(p)
 		if err != nil {
-			return false
+			return err
 		}
 		sol, err := Solve(p)
 		if err != nil {
-			return false
+			return err
 		}
-		return sol.Objective >= greedy.Objective && Validate(p, sol.Step) == nil
+		if err := Validate(p, sol.Step); err != nil {
+			return err
+		}
+		if sol.Objective < greedy.Objective {
+			return fmt.Errorf("objective %d below greedy %d", sol.Objective, greedy.Objective)
+		}
+		return nil
 	}
+	f := func(seed int64) bool { return check(smallRandomProblem(seed)) == nil }
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+	for seed := int64(0); seed < 64; seed++ {
+		if err := check(randomProblem(seed)); err != nil {
+			t.Fatalf("planner-sized seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestSolveDeterministic solves each planner-sized problem twice and
+// requires identical solutions, node counts included.
+func TestSolveDeterministic(t *testing.T) {
+	for seed := int64(0); seed < 64; seed++ {
+		p := randomProblem(seed)
+		a, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("seed %d: nondeterministic solve: %+v vs %+v", seed, a, b)
+		}
+	}
+}
+
+// TestSolveRootPrune pins the greedy-already-optimal shortcut:
+// independent same-type ops fuse maximally at step 0, the root bound
+// equals the greedy objective, and the search stops at the root node.
+func TestSolveRootPrune(t *testing.T) {
+	n := 16
+	p := Problem{Types: make([]int, n), Deps: make([][]int, n)}
+	sol, err := Solve(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(n) * int64(n); sol.Objective != want {
+		t.Fatalf("objective = %d, want %d", sol.Objective, want)
+	}
+	if !sol.Optimal || sol.Nodes != 1 {
+		t.Fatalf("root prune not taken: %+v", sol)
 	}
 }

@@ -53,7 +53,6 @@ func TestBuildPlanFastPathMatchesSequential(t *testing.T) {
 	slow.Planner = PlannerOptions{
 		SequentialProbes:   true,
 		DisableProbeMemo:   true,
-		SequentialSolve:    true,
 		SequentialLowering: true,
 		DisableFusionMemo:  true,
 		DisablePlanCache:   true,

@@ -49,74 +49,6 @@ func TestWarmupSentinel(t *testing.T) {
 	}
 }
 
-// TestPipelineEngineMatrix composes the awkward corners in one matrix:
-// a seeded chaos plan (capacity windows + straggler inflation), the
-// NoWarmup sentinel, a single-iteration run, and the sharded engine
-// opt-in — every {chaos} × {Iterations:1+NoWarmup, Iterations:3} cell
-// runs through the sequential engine and through shard counts {2, 4},
-// and each sharded Result must digest bit-identically to the
-// sequential one (gpusim.ResultDigest covers op timings, utilization
-// segments with tag attribution, and host segments). This extends the
-// gpusim engine-equivalence harness up through the pipeline builder:
-// the same currency (bit-exact digests), exercised on real pipeline
-// DAGs rather than synthetic golden ones.
-func TestPipelineEngineMatrix(t *testing.T) {
-	const n = 2
-	cfg, pl, cm := testSetup(t, n, 4096)
-	p := preproc.MustStandardPlan(1, nil)
-	work := buildWork(t, cm, splitGraphs(p, n), 4096)
-
-	run := func(iters, warmup int, cp *chaos.Plan, engine gpusim.EngineOptions) *PipelineStats {
-		t.Helper()
-		stats, err := BuildAndRun(gpusim.ClusterConfig{NumGPUs: n}, cfg, pl, work, PipelineOptions{
-			Iterations: iters,
-			Warmup:     warmup,
-			Chaos:      cp,
-			Engine:     engine,
-		})
-		if err != nil {
-			t.Fatalf("iters %d warmup %d shards %d: %v", iters, warmup, engine.Shards, err)
-		}
-		return stats
-	}
-
-	// Horizon for the chaos plan from an unperturbed probe run.
-	horizon := run(3, 0, nil, gpusim.EngineOptions{}).Result.Makespan
-	cp, err := chaos.NewPlan(17, chaos.Scenario{NumGPUs: n, HorizonUs: horizon, Severity: 0.6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Straggler.Prob <= 0 {
-		t.Fatalf("severity-0.6 plan carries no stragglers; the matrix needs them")
-	}
-
-	for _, chaosOn := range []bool{false, true} {
-		plan := (*chaos.Plan)(nil)
-		if chaosOn {
-			plan = cp
-		}
-		for _, shape := range []struct{ iters, warmup int }{{1, NoWarmup}, {3, 0}} {
-			seq := run(shape.iters, shape.warmup, plan, gpusim.EngineOptions{})
-			want := gpusim.ResultDigest(seq.Result)
-			for _, shards := range []int{2, 4} {
-				sh := run(shape.iters, shape.warmup, plan, gpusim.EngineOptions{Shards: shards, NoRace: true})
-				if got := gpusim.ResultDigest(sh.Result); got != want {
-					t.Errorf("chaos=%v iters=%d shards=%d: digest %s != sequential %s",
-						chaosOn, shape.iters, shards, got[:12], want[:12])
-				}
-				if sh.Result.Events != seq.Result.Events {
-					t.Errorf("chaos=%v iters=%d shards=%d: %d events != sequential %d",
-						chaosOn, shape.iters, shards, sh.Result.Events, seq.Result.Events)
-				}
-				if math.Abs(sh.SteadyIterLatency-seq.SteadyIterLatency) != 0 {
-					t.Errorf("chaos=%v iters=%d shards=%d: steady latency %v != %v",
-						chaosOn, shape.iters, shards, sh.SteadyIterLatency, seq.SteadyIterLatency)
-				}
-			}
-		}
-	}
-}
-
 // TestPipelineChaosDeterministic runs the full pipeline builder under a
 // seeded perturbation plan twice: results must be deeply equal, strictly
 // slower than the unperturbed run, and a nil plan must stay bit-identical
