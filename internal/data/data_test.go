@@ -264,19 +264,36 @@ func hostileRapcol(samples, ncols uint64, body ...byte) []byte {
 	return append(out, body...)
 }
 
-// TestRapcolRejectsTruncated feeds the reader damaged and hostile
-// streams: each must come back as an error — never a panic, never a
-// batch — and without allocating from the declared counts.
-func TestRapcolRejectsTruncated(t *testing.T) {
-	g := NewGenerator(GenConfig{NumDense: 1, NumSparse: 1, Seed: 1})
+// encodeRapcol writes batches into one rapcol container.
+func encodeRapcol(tb testing.TB, batches ...*tensor.Batch) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteBatch(g.NextBatch(50)); err != nil {
-		t.Fatal(err)
+	for _, b := range batches {
+		if err := w.WriteBatch(b); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	if err := w.Flush(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// hostileRapcolStream is a damaged or hostile rapcol stream the reader
+// must reject.
+type hostileRapcolStream struct {
+	name   string
+	stream []byte
+}
+
+// hostileRapcolStreams returns the damaged and hostile streams: a cut
+// generated batch, sample counts past int32 or memory, columns cut
+// short, and sparse offsets overflowing int32.
+func hostileRapcolStreams(tb testing.TB) []hostileRapcolStream {
+	tb.Helper()
+	g := NewGenerator(GenConfig{NumDense: 1, NumSparse: 1, Seed: 1})
+	whole := encodeRapcol(tb, g.NextBatch(50))
 	denseCol := []byte{colKindDense, 1, 'd'}
 	// sparseCol encodes a sparse column from raw offset deltas, with as
 	// many values as the deltas would add up to without overflow checks.
@@ -293,13 +310,8 @@ func TestRapcolRejectsTruncated(t *testing.T) {
 		}
 		return out
 	}
-
-	const maxAllocBytes = 16 << 20
-	for _, tc := range []struct {
-		name   string
-		stream []byte
-	}{
-		{"truncated", buf.Bytes()[:buf.Len()/2]},
+	return []hostileRapcolStream{
+		{"truncated", whole[:len(whole)/2]},
 		{"2^63 samples, one dense column", hostileRapcol(1<<63, 1, denseCol...)},
 		{"2^63 samples, no columns", hostileRapcol(1<<63, 0)},
 		{"2^34 samples, one dense column", hostileRapcol(1<<34, 1, denseCol...)},
@@ -307,7 +319,15 @@ func TestRapcolRejectsTruncated(t *testing.T) {
 		{"MaxInt32 samples, labels cut short", hostileRapcol(math.MaxInt32, 1, colKindLabels, 0)},
 		{"sparse offsets sum past int32", hostileRapcol(2, 1, sparseCol(math.MaxInt32, 1)...)},
 		{"sparse offset delta past int32", hostileRapcol(2, 1, sparseCol(1<<32+1, 1)...)},
-	} {
+	}
+}
+
+// TestRapcolRejectsTruncated feeds the reader damaged and hostile
+// streams: each must come back as an error — never a panic, never a
+// batch — and without allocating from the declared counts.
+func TestRapcolRejectsTruncated(t *testing.T) {
+	const maxAllocBytes = 16 << 20
+	for _, tc := range hostileRapcolStreams(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)

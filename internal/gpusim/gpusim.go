@@ -522,9 +522,22 @@ func (s *Sim) checkGPU(g int) bool {
 	return true
 }
 
+// checkFinite validates an op's work, bytes or micros at add time the
+// way checkGPU validates its GPU: NaN or ±Inf work never drains, so an
+// op carrying it would spin the event loop forever.
+func (s *Sim) checkFinite(name, what string, x float64) bool {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		if s.addErr == nil {
+			s.addErr = fmt.Errorf("gpusim: op %q: non-finite %s %g", name, what, x)
+		}
+		return false
+	}
+	return true
+}
+
 // AddKernel schedules a GPU kernel on gpu.
 func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
-	if !s.checkGPU(gpu) {
+	if !s.checkGPU(gpu) || !s.checkFinite(k.Name, "work", k.Work) {
 		return InvalidOp
 	}
 	d := k.Demand.Clamp()
@@ -548,7 +561,7 @@ func (s *Sim) AddKernel(gpu int, k Kernel, opts ...OpOption) OpID {
 // AddComm schedules a point-to-point transfer of bytes from GPU src to
 // GPU dst over the NVLink fabric.
 func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(src) || !s.checkGPU(dst) {
+	if !s.checkGPU(src) || !s.checkGPU(dst) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	if src == dst {
@@ -599,7 +612,7 @@ func (s *Sim) AddComm(name string, src, dst int, bytes float64, opts ...OpOption
 // collective of the given per-GPU byte volume would take. Collectives
 // (all-to-all, all-reduce) are expressed as one such op per participant.
 func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) {
+	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.LinkGBs * 1e3)
@@ -630,7 +643,7 @@ func (s *Sim) AddLinkBusy(name string, g int, bytes float64, opts ...OpOption) O
 // AddHostCopy schedules a host-to-device copy of bytes onto GPU g's copy
 // engine (the data-preparation transfer of §6.3).
 func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) OpID {
-	if !s.checkGPU(g) {
+	if !s.checkGPU(g) || !s.checkFinite(name, "bytes", bytes) {
 		return InvalidOp
 	}
 	work := bytes / (s.cfg.CopyGBs * 1e3)
@@ -647,6 +660,9 @@ func (s *Sim) AddHostCopy(name string, g int, bytes float64, opts ...OpOption) O
 // AddCPU schedules host-side work taking micros µs on `workers` CPU
 // workers out of the host pool.
 func (s *Sim) AddCPU(name string, micros float64, workers int, opts ...OpOption) OpID {
+	if !s.checkFinite(name, "micros", micros) {
+		return InvalidOp
+	}
 	if workers < 1 {
 		workers = 1
 	}

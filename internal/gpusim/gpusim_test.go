@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func almost(t *testing.T, got, want, tol float64, msg string) {
@@ -330,6 +331,49 @@ func TestGPUOutOfRangeRejected(t *testing.T) {
 				t.Fatal("Run succeeded despite invalid add")
 			} else if !strings.Contains(err.Error(), "out of range") {
 				t.Fatalf("unexpected error: %v", err)
+			}
+		})
+	}
+}
+
+// TestNonFiniteAddRejected: NaN or infinite work, bytes or micros never
+// drain, so the event loop used to spin forever on such an op. Each
+// add must return InvalidOp and Run must report the add error, within a
+// bounded time.
+func TestNonFiniteAddRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		add  func(s *Sim) OpID
+	}{
+		{"kernel_nan", func(s *Sim) OpID { return s.AddKernel(0, Kernel{Name: "a", Work: nan, Demand: Demand{SM: 0.1}}) }},
+		{"kernel_inf", func(s *Sim) OpID { return s.AddKernel(0, Kernel{Name: "a", Work: inf, Demand: Demand{SM: 0.1}}) }},
+		{"comm_nan", func(s *Sim) OpID { return s.AddComm("c", 0, 1, nan) }},
+		{"comm_local_inf", func(s *Sim) OpID { return s.AddComm("c", 0, 0, inf) }},
+		{"linkbusy_nan", func(s *Sim) OpID { return s.AddLinkBusy("l", 0, nan) }},
+		{"hostcopy_inf", func(s *Sim) OpID { return s.AddHostCopy("h", 1, inf) }},
+		{"cpu_nan", func(s *Sim) OpID { return s.AddCPU("c", nan, 1) }},
+		{"cpu_neg_inf", func(s *Sim) OpID { return s.AddCPU("c", math.Inf(-1), 1) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSim(ClusterConfig{NumGPUs: 2})
+			id := tc.add(s)
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Run()
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if id != InvalidOp {
+					t.Fatalf("non-finite add accepted: op %d", id)
+				}
+				if err == nil || !strings.Contains(err.Error(), "non-finite") {
+					t.Fatalf("Run error = %v, want a non-finite add error", err)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatal("Run did not return on a non-finite op")
 			}
 		})
 	}

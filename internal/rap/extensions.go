@@ -2,8 +2,10 @@ package rap
 
 import (
 	"fmt"
+	"math"
 
 	"rap/internal/preproc"
+	"rap/internal/sched"
 )
 
 // This file implements the §10 "Discussion" extensions of the paper:
@@ -35,7 +37,11 @@ func (w *Workload) WithListLen(avgListLen float64) *Workload {
 // layers' overlapping capacity (which depends on pooling volume) and
 // re-runs the fusion + mapping + scheduling search. The returned plan
 // replaces the stale one; the framework's workload is updated in place.
+// A non-finite list length is rejected and leaves the workload as it was.
 func (f *Framework) AdaptToShift(avgListLen float64, opts BuildOptions) (*ExecPlan, error) {
+	if math.IsNaN(avgListLen) || math.IsInf(avgListLen, 0) {
+		return nil, fmt.Errorf("rap: non-finite list length %g", avgListLen)
+	}
 	f.W = f.W.WithListLen(avgListLen)
 	return f.BuildPlan(opts)
 }
@@ -51,25 +57,28 @@ const HybridCPUSlowdownPerWorker = 500.0
 // cpuWorkers host/remote CPU workers per GPU (a GoldMiner-style elastic
 // CPU tier — the paper's hybrid "employs both GPUs and CPUs", spilling
 // only the part the GPUs cannot absorb). The CPU work runs concurrently
-// with training instead of extending the iteration. The plan is
-// modified in place and also returned. Returns the number of operators
-// spilled.
+// with training instead of extending the iteration. It returns the
+// hybrid plan, a copy that leaves p untouched (p may be the framework's
+// cached plan), and the number of operators spilled.
 //
 // Note the economics this makes explicit: one CPU worker is
 // HybridCPUSlowdownPerWorker× slower than the GPU, so the hybrid mode
 // only pays off when the spilled work would otherwise be exposed AND the
 // CPU tier is wide enough — exactly the paper's framing that GPU
 // leftovers should carry the bulk and CPUs only the residue.
-func MakeHybrid(p *ExecPlan, cpuWorkers int) (int, error) {
+func MakeHybrid(p *ExecPlan, cpuWorkers int) (*ExecPlan, int, error) {
 	if p == nil {
-		return 0, fmt.Errorf("rap: nil plan")
+		return nil, 0, fmt.Errorf("rap: nil plan")
 	}
 	if cpuWorkers <= 0 {
 		cpuWorkers = 8
 	}
+	out := *p
+	out.Schedules = append([]*sched.Schedule(nil), p.Schedules...)
+	out.Work = append([]sched.GPUWork(nil), p.Work...)
+	out.PredictedExposedUs = append([]float64(nil), p.PredictedExposedUs...)
 	spilled := 0
-	for g := range p.Schedules {
-		s := p.Schedules[g]
+	for g, s := range p.Schedules {
 		if len(s.Overflow) == 0 {
 			continue
 		}
@@ -78,15 +87,19 @@ func MakeHybrid(p *ExecPlan, cpuWorkers int) (int, error) {
 			satUs += k.SaturatedWork()
 			spilled += kernelOpCount(k)
 		}
-		p.Work[g].CPUPreprocUs += satUs * HybridCPUSlowdownPerWorker / float64(cpuWorkers)
-		if p.Work[g].CPUWorkers < cpuWorkers {
-			p.Work[g].CPUWorkers = cpuWorkers
+		hs := *s
+		hs.Overflow = nil
+		hs.PredictedExposed = 0
+		out.Schedules[g] = &hs
+		// Work[g] points at the schedule it runs; keep it on the copy.
+		out.Work[g].Schedule = &hs
+		out.Work[g].CPUPreprocUs += satUs * HybridCPUSlowdownPerWorker / float64(cpuWorkers)
+		if out.Work[g].CPUWorkers < cpuWorkers {
+			out.Work[g].CPUWorkers = cpuWorkers
 		}
-		s.Overflow = nil
-		s.PredictedExposed = 0
-		p.PredictedExposedUs[g] = 0
+		out.PredictedExposedUs[g] = 0
 	}
-	return spilled, nil
+	return &out, spilled, nil
 }
 
 func kernelOpCount(k preproc.KernelSpec) int {

@@ -2,11 +2,15 @@ package rap
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"rap/internal/data"
 	"rap/internal/gpusim"
 	"rap/internal/preproc"
+	"rap/internal/sched"
 )
 
 func TestWithListLen(t *testing.T) {
@@ -66,6 +70,33 @@ func TestAdaptToShift(t *testing.T) {
 	}
 }
 
+// TestAdaptToShiftNonFinite: a NaN or infinite list length used to
+// reach the capacity search, whose bisection never converged, so
+// BuildPlan hung. It must return an error promptly and leave the
+// workload unshifted.
+func TestAdaptToShiftNonFinite(t *testing.T) {
+	w := workload(t, Terabyte, 1, 4096)
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 2})
+	for _, l := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := f.AdaptToShift(l, BuildOptions{})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Fatalf("AdaptToShift(%g) accepted a non-finite list length", l)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("AdaptToShift(%g) did not return", l)
+		}
+		if f.W != w {
+			t.Fatalf("AdaptToShift(%g) shifted the workload despite the error", l)
+		}
+	}
+}
+
 // overloadedWorkload builds a plan-1 workload with enough extra NGram
 // work that Algorithm 1 cannot hide everything (forcing overflow).
 func overloadedWorkload(t *testing.T) *Workload {
@@ -112,11 +143,7 @@ func TestMakeHybrid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hybrid, err := f.BuildPlan(BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spilled, err := MakeHybrid(hybrid, 1024)
+	hybrid, spilled, err := MakeHybrid(pure, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +151,7 @@ func TestMakeHybrid(t *testing.T) {
 		t.Fatal("nothing spilled")
 	}
 	for g := range hybrid.Schedules {
-		if len(hybrid.Schedules[g].Overflow) != 0 {
+		if len(hybrid.Schedules[g].Overflow) != 0 || len(hybrid.Work[g].Schedule.Overflow) != 0 {
 			t.Fatal("overflow not cleared")
 		}
 		if hybrid.Work[g].CPUPreprocUs <= 0 && spilledOnGPU(pure, g) {
@@ -152,8 +179,52 @@ func spilledOnGPU(p *ExecPlan, g int) bool {
 	return len(p.Schedules[g].Overflow) > 0
 }
 
+// TestMakeHybridLeavesPlanCacheIntact: MakeHybrid must not modify the
+// plan it is given. BuildPlan hands out its cached plan, so an in-place
+// spill made every later BuildPlan of the same request return the
+// hybrid plan, with its overflow gone.
+func TestMakeHybridLeavesPlanCacheIntact(t *testing.T) {
+	f := New(overloadedWorkload(t), gpusim.ClusterConfig{NumGPUs: 2, HostCores: 4096})
+	pure, err := f.BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	overflow := make([]int, len(pure.Schedules))
+	total := 0
+	for g, s := range pure.Schedules {
+		overflow[g] = len(s.Overflow)
+		total += overflow[g]
+	}
+	if total == 0 {
+		t.Fatal("overloaded workload did not overflow — test premise broken")
+	}
+	work := append([]sched.GPUWork(nil), pure.Work...)
+	exposed := append([]float64(nil), pure.PredictedExposedUs...)
+
+	hybrid, _, err := MakeHybrid(pure, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hybrid == pure {
+		t.Fatal("MakeHybrid returned its input instead of a copy")
+	}
+	again, err := f.BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, s := range again.Schedules {
+		if len(s.Overflow) != overflow[g] || len(again.Work[g].Schedule.Overflow) != overflow[g] {
+			t.Fatalf("gpu %d: cached plan has %d overflow kernels after MakeHybrid, want %d",
+				g, len(s.Overflow), overflow[g])
+		}
+	}
+	if !reflect.DeepEqual(again.Work, work) || !reflect.DeepEqual(again.PredictedExposedUs, exposed) {
+		t.Fatal("MakeHybrid modified the cached plan's work or predicted exposure")
+	}
+}
+
 func TestMakeHybridNil(t *testing.T) {
-	if _, err := MakeHybrid(nil, 8); err == nil {
+	if _, _, err := MakeHybrid(nil, 8); err == nil {
 		t.Fatal("nil plan accepted")
 	}
 }
@@ -161,22 +232,28 @@ func TestMakeHybridNil(t *testing.T) {
 func TestMakeHybridNoOverflowNoop(t *testing.T) {
 	w := workload(t, Terabyte, 0, 4096)
 	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	p, err := f.BuildPlan(BuildOptions{})
+	built, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for g := range p.Schedules {
-		p.Schedules[g].Overflow = nil // everything hidden
+	// Everything hidden: a copy of the plan with the overflow dropped,
+	// leaving the framework's cached plan as built.
+	p := *built
+	p.Schedules = make([]*sched.Schedule, len(built.Schedules))
+	for g, s := range built.Schedules {
+		hidden := *s
+		hidden.Overflow = nil
+		p.Schedules[g] = &hidden
 	}
-	spilled, err := MakeHybrid(p, 64)
+	hybrid, spilled, err := MakeHybrid(&p, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spilled != 0 {
 		t.Fatalf("nothing overflowed, yet spilled %d", spilled)
 	}
-	for g := range p.Work {
-		if p.Work[g].CPUPreprocUs != 0 {
+	for g := range hybrid.Work {
+		if hybrid.Work[g].CPUPreprocUs != 0 {
 			t.Fatal("CPU work added without overflow")
 		}
 	}

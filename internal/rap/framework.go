@@ -55,10 +55,6 @@ type BuildOptions struct {
 type Framework struct {
 	W       *Workload
 	Cluster gpusim.ClusterConfig
-	// Planner toggles the planner fast path (probe memoization,
-	// concurrent probing and lowering, fusion memo, plan caching). The
-	// zero value enables everything; no toggle changes plan contents.
-	Planner PlannerOptions
 
 	pred *costmodel.Predictor
 	// predGen counts predictor replacements; it is part of every
@@ -157,57 +153,43 @@ func (p *ExecPlan) TotalPredictedExposed() float64 {
 // overlapping capacity, map the preprocessing graphs, fuse, and search
 // the co-running schedule. Identical requests — same workload shape,
 // cluster, options and predictor generation, by deep content hash —
-// return the already-built plan unless Planner.DisablePlanCache is
-// set.
+// return the already-built plan. The returned plan is shared with the
+// cache, so callers must treat it as read-only (MakeHybrid copies).
 func (f *Framework) BuildPlan(opts BuildOptions) (*ExecPlan, error) {
 	if opts.Strategy == "" {
 		opts.Strategy = MapRAP
 	}
-	var key string
-	if !f.Planner.DisablePlanCache {
-		key = f.planKey(opts)
-		f.mu.Lock()
-		cached := f.planCache[key]
-		f.mu.Unlock()
-		if cached != nil {
-			return cached, nil
-		}
+	key := f.planKey(opts)
+	f.mu.Lock()
+	cached := f.planCache[key]
+	f.mu.Unlock()
+	if cached != nil {
+		return cached, nil
 	}
 	plan, err := f.buildPlan(opts)
 	if err != nil {
 		return nil, err
 	}
-	if key != "" {
-		f.mu.Lock()
-		f.planCache[key] = plan
-		f.mu.Unlock()
-	}
+	f.mu.Lock()
+	f.planCache[key] = plan
+	f.mu.Unlock()
 	return plan, nil
 }
 
-// estimateCapacities runs the step-2 per-GPU capacity profiling,
-// concurrently unless Planner.SequentialProbes is set. GPU 0 always
+// estimateCapacities runs the step-2 per-GPU capacity profiling. GPU 0
 // probes first to warm the probe cache — homogeneous GPUs share most
 // stage profiles, so the remaining GPUs then answer mostly from memo —
-// and results are collected by GPU index, so the output is identical
-// either way.
+// and the rest probe concurrently. Results are collected by GPU index,
+// so the output does not depend on goroutine order.
 func (f *Framework) estimateCapacities(pl dlrm.Placement) ([][]costmodel.StageCapacity, []float64, error) {
 	n := f.Cluster.NumGPUs
-	cache := f.probeCache
-	if f.Planner.DisableProbeMemo {
-		cache = nil
-	}
 	caps := make([][]costmodel.StageCapacity, n)
 	errs := make([]error, n)
 	estimate := func(g int) {
-		caps[g], errs[g] = costmodel.EstimateCapacitiesCached(f.W.Model, pl, g, f.Cluster, cache)
+		caps[g], errs[g] = costmodel.EstimateCapacitiesCached(f.W.Model, pl, g, f.Cluster, f.probeCache)
 	}
 	estimate(0)
-	if f.Planner.SequentialProbes || errs[0] != nil {
-		for g := 1; g < n; g++ {
-			estimate(g)
-		}
-	} else {
+	if errs[0] == nil {
 		var wg sync.WaitGroup
 		for g := 1; g < n; g++ {
 			wg.Add(1)
@@ -240,14 +222,80 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		return nil, err
 	}
 
-	// Step 3a: inter-GPU graph mapping. Candidate mappings are scored
-	// the way §7.2 prescribes: run the intra-GPU co-running schedule
-	// (Algorithm 1, with a fast greedy fusion) for the candidate
-	// assignment and take the cost model's exposed latency plus the
-	// communication cost of the move. A candidate that fails to score
-	// records the first error for BuildPlan to return — an unscorable
-	// candidate means the search itself is compromised, not just that
-	// one move is unattractive.
+	// Step 3a: inter-GPU graph mapping.
+	mapped, err := f.mapGraphs(opts, pl, caps, capTotals)
+	if err != nil {
+		return nil, err
+	}
+
+	// Step 3b: per-GPU fusion + co-run schedule.
+	plan := &ExecPlan{
+		Workload:   f.W,
+		Cluster:    f.Cluster,
+		Opts:       opts,
+		Placement:  pl,
+		Mapping:    mapped,
+		Capacities: caps,
+		Fusions:    make([]*fusion.Plan, n),
+		Schedules:  make([]*sched.Schedule, n),
+		Work:       make([]sched.GPUWork, n),
+
+		PredictedExposedUs: make([]float64, n),
+	}
+
+	// The per-GPU problems are independent, so the lowering runs one
+	// goroutine per GPU.
+	lower := func(g int) error {
+		fp, err := fusion.PlanFusionScaled(scaledGraphs(mapped.PerGPU[g]), fusion.Options{
+			Disable:    opts.NoFusion,
+			MaxNodes:   opts.FusionMaxNodes,
+			SolveCache: f.fusionCache,
+		})
+		if err != nil {
+			return err
+		}
+		s, work, err := f.scheduleGPU(opts, fp, caps[g], mapped, g)
+		if err != nil {
+			return err
+		}
+		plan.Fusions[g] = fp
+		plan.Schedules[g] = s
+		plan.PredictedExposedUs[g] = s.PredictedExposed
+		plan.Work[g] = work
+		return nil
+	}
+	// Graphs are shared across GPUs and Graph.Deps is built lazily;
+	// warm it up front so the concurrent lowerings only read.
+	for _, gr := range f.W.Plan.Graphs {
+		gr.Deps()
+	}
+	lowerErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lowerErrs[g] = lower(g)
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range lowerErrs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return plan, nil
+}
+
+// mapGraphs runs step 3a, the inter-GPU graph mapping. Candidate
+// mappings are scored the way §7.2 prescribes: run the intra-GPU
+// co-running schedule (Algorithm 1, with a fast greedy fusion) for the
+// candidate assignment and take the cost model's exposed latency plus
+// the communication cost of the move. A candidate that fails to score
+// records the first error for BuildPlan to return — an unscorable
+// candidate means the search itself is compromised, not just that one
+// move is unattractive.
+func (f *Framework) mapGraphs(opts BuildOptions, pl dlrm.Placement, caps [][]costmodel.StageCapacity, capTotals []float64) (*mapping.Result, error) {
 	var costErr error
 	fail := func(stage string, gpu int, err error) float64 {
 		if costErr == nil {
@@ -256,11 +304,7 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		return 1e18
 	}
 	cost := func(gpu int, items []mapping.Assign, commBytes float64) float64 {
-		sg := make([]fusion.ScaledGraph, len(items))
-		for i, a := range items {
-			sg[i] = fusion.ScaledGraph{Graph: a.Graph, Shape: a.Shape}
-		}
-		fp, err := fusion.PlanFusionScaled(sg, fusion.Options{GreedyOnly: true, Disable: opts.NoFusion})
+		fp, err := fusion.PlanFusionScaled(scaledGraphs(items), fusion.Options{GreedyOnly: true, Disable: opts.NoFusion})
 		if err != nil {
 			return fail("greedy fusion", gpu, err)
 		}
@@ -283,6 +327,7 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 		Cost:           cost,
 	}
 	var mapped *mapping.Result
+	var err error
 	switch opts.Strategy {
 	case MapRAP:
 		mapped, err = mapping.RAPSearch(mcfg)
@@ -296,97 +341,43 @@ func (f *Framework) buildPlan(opts BuildOptions) (*ExecPlan, error) {
 	if costErr != nil {
 		return nil, costErr
 	}
+	return mapped, err
+}
+
+// scheduleGPU lowers GPU g's fused kernels to its co-run schedule
+// (Algorithm 1, or back-to-back launches under NaiveSchedule) and the
+// per-batch work the pipeline simulator executes.
+func (f *Framework) scheduleGPU(opts BuildOptions, fp *fusion.Plan, caps []costmodel.StageCapacity, mapped *mapping.Result, g int) (*sched.Schedule, sched.GPUWork, error) {
+	cm, err := f.newCostModel(caps)
 	if err != nil {
-		return nil, err
+		return nil, sched.GPUWork{}, err
 	}
-
-	// Step 3b: per-GPU fusion + co-run schedule.
-	plan := &ExecPlan{
-		Workload:   f.W,
-		Cluster:    f.Cluster,
-		Opts:       opts,
-		Placement:  pl,
-		Mapping:    mapped,
-		Capacities: caps,
-		Fusions:    make([]*fusion.Plan, n),
-		Schedules:  make([]*sched.Schedule, n),
-		Work:       make([]sched.GPUWork, n),
-	}
-	plan.PredictedExposedUs = make([]float64, n)
-
-	// The per-GPU problems are independent, so the lowering runs one
-	// goroutine per GPU unless Planner.SequentialLowering is set.
-	solveCache := f.fusionCache
-	if f.Planner.DisableFusionMemo {
-		solveCache = nil
-	}
-	lower := func(g int) error {
-		items := make([]fusion.ScaledGraph, len(mapped.PerGPU[g]))
-		for i, a := range mapped.PerGPU[g] {
-			items[i] = fusion.ScaledGraph{Graph: a.Graph, Shape: a.Shape}
-		}
-		fp, err := fusion.PlanFusionScaled(items, fusion.Options{
-			Disable:    opts.NoFusion,
-			MaxNodes:   opts.FusionMaxNodes,
-			SolveCache: solveCache,
-		})
-		if err != nil {
-			return err
-		}
-		plan.Fusions[g] = fp
-		cm, err := f.newCostModel(caps[g])
-		if err != nil {
-			return err
-		}
-		var s *sched.Schedule
-		if opts.NaiveSchedule {
-			s = sched.SequentialSchedule(fp.Kernels(), len(caps[g]))
-			s.PredictedExposed = cm.ExposedLatencyClamped(fp.Kernels())
-		} else {
-			s, err = sched.CoRunSchedule(fp, cm, sched.Options{DisableSharding: opts.NoSharding})
-			if err != nil {
-				return err
-			}
-		}
-		plan.Schedules[g] = s
-		plan.PredictedExposedUs[g] = s.PredictedExposed
-		plan.Work[g] = sched.GPUWork{
-			Schedule:       s,
-			InputCommBytes: mapped.CommBytes[g] * ScatterInefficiency,
-			PrepBytes:      rawInputBytes(mapped.PerGPU[g]),
-			CPUPrepUs:      hostPrepUs(s),
-		}
-		return nil
-	}
-	if f.Planner.SequentialLowering {
-		for g := 0; g < n; g++ {
-			if err := lower(g); err != nil {
-				return nil, err
-			}
-		}
+	var s *sched.Schedule
+	if opts.NaiveSchedule {
+		s = sched.SequentialSchedule(fp.Kernels(), len(caps))
+		s.PredictedExposed = cm.ExposedLatencyClamped(fp.Kernels())
 	} else {
-		// Graphs are shared across GPUs and Graph.Deps is built lazily;
-		// warm it up front so the concurrent lowerings only read.
-		for _, gr := range f.W.Plan.Graphs {
-			gr.Deps()
-		}
-		lowerErrs := make([]error, n)
-		var wg sync.WaitGroup
-		for g := 0; g < n; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				lowerErrs[g] = lower(g)
-			}(g)
-		}
-		wg.Wait()
-		for _, err := range lowerErrs {
-			if err != nil {
-				return nil, err
-			}
+		s, err = sched.CoRunSchedule(fp, cm, sched.Options{DisableSharding: opts.NoSharding})
+		if err != nil {
+			return nil, sched.GPUWork{}, err
 		}
 	}
-	return plan, nil
+	return s, sched.GPUWork{
+		Schedule:       s,
+		InputCommBytes: mapped.CommBytes[g] * ScatterInefficiency,
+		PrepBytes:      rawInputBytes(mapped.PerGPU[g]),
+		CPUPrepUs:      hostPrepUs(s),
+	}, nil
+}
+
+// scaledGraphs pairs each assigned graph with its batch shape, the
+// fusion planner's input.
+func scaledGraphs(items []mapping.Assign) []fusion.ScaledGraph {
+	sg := make([]fusion.ScaledGraph, len(items))
+	for i, a := range items {
+		sg[i] = fusion.ScaledGraph{Graph: a.Graph, Shape: a.Shape}
+	}
+	return sg
 }
 
 // ScatterInefficiency converts mapping-induced input-communication

@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"rap/internal/costmodel"
+	"rap/internal/dlrm"
+	"rap/internal/fusion"
 	"rap/internal/gpusim"
+	"rap/internal/sched"
 )
 
 // plansEqual compares the planner outputs of two ExecPlans (the
@@ -22,55 +25,107 @@ func plansEqual(a, b *ExecPlan) bool {
 		reflect.DeepEqual(a.PredictedExposedUs, b.PredictedExposedUs)
 }
 
-// TestBuildPlanDeterministicUnderConcurrency double-runs the fast-path
-// BuildPlan (concurrent probes, memoization, parallel solver) with the
-// plan cache disabled so the second run genuinely rebuilds: the plans
-// must be deeply equal.
-func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
-	w := workload(t, Kaggle, 1, 1024)
-	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	f.Planner.DisablePlanCache = true
-	a, err := f.BuildPlan(BuildOptions{})
+// referencePlan builds f's plan for opts the plain way: capacities
+// probed GPU by GPU with no probe cache, and each GPU's fusion solved
+// afresh with no solve cache, one GPU after another. Mapping and
+// scheduling read no cache, so they run as in BuildPlan.
+func referencePlan(t *testing.T, f *Framework, opts BuildOptions) *ExecPlan {
+	t.Helper()
+	if opts.Strategy == "" {
+		opts.Strategy = MapRAP
+	}
+	n := f.Cluster.NumGPUs
+	pl := dlrm.PlaceTables(f.W.Model.TableSizes, n)
+	caps := make([][]costmodel.StageCapacity, n)
+	capTotals := make([]float64, n)
+	for g := 0; g < n; g++ {
+		c, err := costmodel.EstimateCapacities(f.W.Model, pl, g, f.Cluster)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caps[g], capTotals[g] = c, costmodel.TotalCapacity(c)
+	}
+	mapped, err := f.mapGraphs(opts, pl, caps, capTotals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := f.BuildPlan(BuildOptions{})
+	ref := &ExecPlan{
+		Placement:          pl,
+		Mapping:            mapped,
+		Capacities:         caps,
+		Fusions:            make([]*fusion.Plan, n),
+		Schedules:          make([]*sched.Schedule, n),
+		Work:               make([]sched.GPUWork, n),
+		PredictedExposedUs: make([]float64, n),
+	}
+	for g := 0; g < n; g++ {
+		fp, err := fusion.PlanFusionScaled(scaledGraphs(mapped.PerGPU[g]), fusion.Options{
+			Disable:  opts.NoFusion,
+			MaxNodes: opts.FusionMaxNodes,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, work, err := f.scheduleGPU(opts, fp, caps[g], mapped, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.Fusions[g], ref.Schedules[g], ref.Work[g] = fp, s, work
+		ref.PredictedExposedUs[g] = s.PredictedExposed
+	}
+	return ref
+}
+
+// TestBuildPlanDeterministicUnderConcurrency builds the same plan on two
+// fresh frameworks (concurrent probes and lowering, empty memos): the
+// plans must be deeply equal.
+func TestBuildPlanDeterministicUnderConcurrency(t *testing.T) {
+	w := workload(t, Kaggle, 1, 1024)
+	a, err := New(w, gpusim.ClusterConfig{NumGPUs: 4}).BuildPlan(BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := New(w, gpusim.ClusterConfig{NumGPUs: 4}).BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !plansEqual(a, b) {
-		t.Fatal("double-run BuildPlan produced different plans")
+		t.Fatal("two fresh frameworks built different plans")
 	}
 }
 
-// TestBuildPlanFastPathMatchesSequential pins the fast path's whole
-// contract: a framework with every fast-path layer enabled must build
-// the same plan as one forced fully sequential and cache-free.
+// TestBuildPlanFastPathMatchesSequential pins the planner's whole
+// contract: the concurrent, memoized planner, cold and warm, must build
+// the same plan as the cache-free sequential reference.
 func TestBuildPlanFastPathMatchesSequential(t *testing.T) {
 	w := workload(t, Kaggle, 1, 1024)
-	fast := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	slow := New(w, gpusim.ClusterConfig{NumGPUs: 4})
-	slow.Planner = PlannerOptions{
-		SequentialProbes:   true,
-		DisableProbeMemo:   true,
-		SequentialLowering: true,
-		DisableFusionMemo:  true,
-		DisablePlanCache:   true,
-	}
-	a, err := fast.BuildPlan(BuildOptions{})
+	f := New(w, gpusim.ClusterConfig{NumGPUs: 4})
+	cold, err := f.BuildPlan(BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := slow.BuildPlan(BuildOptions{})
+	// PreprocPriority is in the plan-cache key but not read by the
+	// lowering, so this is a full rebuild answered from warm memos.
+	warmOpts := BuildOptions{PreprocPriority: 1}
+	warm, err := f.BuildPlan(warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !plansEqual(a, b) {
-		t.Fatal("fast-path plan differs from sequential plan")
+	if warm == cold {
+		t.Fatal("warm request was served from the plan cache, not rebuilt")
 	}
-	hits, misses := fast.ProbeCacheStats()
-	if hits == 0 {
-		t.Fatalf("fast path recorded no probe-cache hits (misses %d)", misses)
+	ref := referencePlan(t, f, warmOpts)
+	if !plansEqual(cold, ref) {
+		t.Fatal("cold plan differs from the sequential cache-free reference")
+	}
+	if !plansEqual(warm, ref) {
+		t.Fatal("warm plan differs from the sequential cache-free reference")
+	}
+	if hits, misses := f.ProbeCacheStats(); hits == 0 {
+		t.Fatalf("planner recorded no probe-cache hits (misses %d)", misses)
+	}
+	if hits, _ := f.FusionCacheStats(); hits == 0 {
+		t.Fatal("warm rebuild recorded no fusion solve-cache hits")
 	}
 }
 
@@ -97,13 +152,13 @@ func TestBuildPlanPlanCache(t *testing.T) {
 	if c == a {
 		t.Fatal("different options returned the cached plan")
 	}
-	f.Planner.DisablePlanCache = true
-	d, err := f.BuildPlan(BuildOptions{})
+	// PreprocPriority hashes into a different key but lowers identically.
+	d, err := f.BuildPlan(BuildOptions{PreprocPriority: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if d == a {
-		t.Fatal("DisablePlanCache still served the cached plan")
+		t.Fatal("a request with a different plan key was served the cached plan")
 	}
 	if !plansEqual(a, d) {
 		t.Fatal("rebuilt plan differs from cached plan")
