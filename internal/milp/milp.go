@@ -22,7 +22,6 @@ package milp
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Problem is one fusion MILP instance.
@@ -207,24 +206,43 @@ func newSolver(p Problem) (*solver, error) {
 	if maxNodes <= 0 {
 		maxNodes = DefaultMaxNodes
 	}
-	// Remaining same-type op counts from each position in the topo
-	// order, for the admissible bound.
-	remaining := make([]map[int]int64, n+1)
-	remaining[n] = map[int]int64{}
-	for k := n - 1; k >= 0; k-- {
-		m := make(map[int]int64, len(remaining[k+1]))
-		for ty, c := range remaining[k+1] {
-			m[ty] = c
+	// The search indexes its state by a dense type id, 0..numTypes-1,
+	// in order of first appearance.
+	denseOf := map[int]int{}
+	ty := make([]int, n)
+	for i, t := range p.Types {
+		d, ok := denseOf[t]
+		if !ok {
+			d = len(denseOf)
+			denseOf[t] = d
 		}
-		m[p.Types[order[k]]]++
-		remaining[k] = m
+		ty[i] = d
+	}
+	numTypes := len(denseOf)
+	// Remaining same-type op counts from each position in the topo
+	// order, for the admissible bound: position k lists the types with
+	// ops left at k or later.
+	remaining := make([][]typeCount, n+1)
+	left := make([]int64, numTypes)
+	for k := n - 1; k >= 0; k-- {
+		left[ty[order[k]]]++
+		for t, c := range left {
+			if c > 0 {
+				remaining[k] = append(remaining[k], typeCount{ty: t, n: c})
+			}
+		}
+	}
+	cands := make([][]int, n)
+	for k := range cands {
+		cands[k] = make([]int, 0, horizon)
 	}
 	return &solver{
-		p: p, order: order, horizon: horizon, maxNodes: maxNodes,
+		p: p, ty: ty, order: order, horizon: horizon, maxNodes: maxNodes,
 		remaining: remaining,
+		cands:     cands,
 		steps:     make([]int, n),
-		counts:    map[[2]int]int64{},
-		maxCount:  map[int]int64{},
+		counts:    make([]int64, numTypes*horizon),
+		maxCount:  make([]int64, numTypes),
 		// The ASAP levels are the greedy warm start (see GreedyLevels).
 		bestObj: Objective(p.Types, asap),
 		best:    asap,
@@ -249,19 +267,27 @@ func Solve(p Problem) (Solution, error) {
 
 type solver struct {
 	p         Problem
+	ty        []int // op -> dense type id
 	order     []int
 	horizon   int
 	maxNodes  int
 	nodes     int
-	remaining []map[int]int64
+	remaining [][]typeCount
+	cands     [][]int // per position: the candidate-step buffer
 
 	steps    []int
-	counts   map[[2]int]int64 // (type, step) -> fusion degree
-	maxCount map[int]int64    // type -> max degree so far (for the bound)
+	counts   []int64 // dense type*horizon + step -> fusion degree
+	maxCount []int64 // dense type -> max degree so far (for the bound)
 
 	best    []int
 	bestObj int64
 	optimal bool
+}
+
+// typeCount is how many ops of dense type ty remain to be placed.
+type typeCount struct {
+	ty int
+	n  int64
 }
 
 // bound returns an admissible upper bound on the objective reachable
@@ -269,9 +295,9 @@ type solver struct {
 // of a type could, at best, join that type's largest group.
 func (s *solver) bound(k int, obj int64) int64 {
 	b := obj
-	for ty, r := range s.remaining[k] {
-		g := s.maxCount[ty]
-		b += (g+r)*(g+r) - g*g
+	for _, tc := range s.remaining[k] {
+		g := s.maxCount[tc.ty]
+		b += (g+tc.n)*(g+tc.n) - g*g
 	}
 	return b
 }
@@ -302,35 +328,34 @@ func (s *solver) dfs(k int, obj int64) {
 	if minStep >= s.horizon {
 		return // infeasible branch under this horizon
 	}
-	ty := s.p.Types[op]
+	ty := s.ty[op]
+	counts := s.counts[ty*s.horizon : (ty+1)*s.horizon]
 
 	// Candidate steps, most promising first: join the largest existing
-	// same-type group, then earliest-first.
-	cands := make([]int, 0, s.horizon-minStep)
+	// same-type group, then earliest-first. The steps arrive in
+	// ascending order, so a stable insertion sort on the degree alone
+	// gives that order.
+	cands := s.cands[k][:0]
 	for t := minStep; t < s.horizon; t++ {
+		i := len(cands)
 		cands = append(cands, t)
-	}
-	sort.SliceStable(cands, func(a, b int) bool {
-		ca := s.counts[[2]int{ty, cands[a]}]
-		cb := s.counts[[2]int{ty, cands[b]}]
-		if ca != cb {
-			return ca > cb
+		for ; i > 0 && counts[cands[i-1]] < counts[t]; i-- {
+			cands[i] = cands[i-1]
 		}
-		return cands[a] < cands[b]
-	})
+		cands[i] = t
+	}
 
 	for _, t := range cands {
-		key := [2]int{ty, t}
-		c := s.counts[key]
+		c := counts[t]
 		delta := (c+1)*(c+1) - c*c
-		s.counts[key] = c + 1
+		counts[t] = c + 1
 		prevMax := s.maxCount[ty]
 		if c+1 > prevMax {
 			s.maxCount[ty] = c + 1
 		}
 		s.steps[op] = t
 		s.dfs(k+1, obj+delta)
-		s.counts[key] = c
+		counts[t] = c
 		s.maxCount[ty] = prevMax
 		if s.nodes >= s.maxNodes {
 			s.optimal = false

@@ -1,6 +1,8 @@
 package milp
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -335,5 +337,39 @@ func TestSolveRootPrune(t *testing.T) {
 	}
 	if !sol.Optimal || sol.Nodes != 1 {
 		t.Fatalf("root prune not taken: %+v", sol)
+	}
+}
+
+// searchPin is the digest TestSolveSearchPinned expects. It was recorded
+// with the map-based search state the solver used before its state went
+// dense; the two must explore the same nodes in the same order.
+const searchPin = "615dc0a99a1954e4213b9866d43a95475ace9738c5153f327458b15e4124738d"
+
+// TestSolveSearchPinned pins the whole search, not only its result:
+// each problem's steps, objective, optimality and node count feed one
+// digest. It covers budget-truncated planner-sized problems, small ones
+// that finish, and the same problems with sparse, negative type ids.
+func TestSolveSearchPinned(t *testing.T) {
+	h := sha256.New()
+	for seed := int64(0); seed < 64; seed++ {
+		for _, p := range []Problem{randomProblem(seed), smallRandomProblem(seed)} {
+			for _, sparse := range []bool{false, true} {
+				q := p
+				if sparse {
+					q.Types = make([]int, len(p.Types))
+					for i, ty := range p.Types {
+						q.Types[i] = 7*ty - 5
+					}
+				}
+				sol, err := Solve(q)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				fmt.Fprintf(h, "%d %v %d %t %d\n", seed, sol.Step, sol.Objective, sol.Optimal, sol.Nodes)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != searchPin {
+		t.Fatalf("search digest %s, want %s", got, searchPin)
 	}
 }
